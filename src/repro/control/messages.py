@@ -42,8 +42,15 @@ class Message:
         return float(getattr(self, "data_bytes", 0.0))
 
     def wire_bytes(self) -> float:
-        """Total bytes on the wire: JSON envelope + bulk payload."""
-        return len(json.dumps(to_wire(self))) + self.payload_bytes
+        """Total bytes on the wire: JSON envelope + bulk payload.
+
+        Sizes a shallow field dict: no message nests a dataclass, so it
+        serializes to the same JSON as :func:`to_wire` without the deep
+        copy ``asdict`` makes of every sequence's task dicts.
+        """
+        body = {f.name: getattr(self, f.name) for f in fields(self)}
+        body["__type__"] = type(self).__name__
+        return len(json.dumps(body)) + self.payload_bytes
 
 
 def to_wire(message: Message) -> dict[str, Any]:

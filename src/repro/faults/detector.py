@@ -229,8 +229,11 @@ def run_detection(
                 return (factor - 1.0) * cfg.interval_s
         return 0.0
 
-    # Worst case: the last heartbeat before the crash is delivered.
-    horizon = crash.time + cfg.lease_s + 2 * cfg.interval_s
+    # Worst case: the last heartbeat before the crash is delivered. A crash
+    # that landed before *start* (while an earlier crash was still being
+    # handled) leaves the GPU silent from *start* on, so its lease runs
+    # from there.
+    horizon = max(crash.time, start) + cfg.lease_s + 2 * cfg.interval_s
 
     beats: list[tuple[float, int, int]] = []  # (emit time, gpu, seq)
     for gpu_id in gpu_ids:

@@ -525,8 +525,8 @@ def select_kernel_backend(
     the reference loop regardless of scale — the array backend's
     planned/gang fast paths never engage for them, so its per-event
     numpy overhead made ``online_replan`` *slower* than the reference
-    loop (0.74x in BENCH_kernel.json) while the old heuristic still
-    switched on task count alone.
+    loop (``kernel_speedup_x`` below 1 in BENCH_kernel.json) while the
+    old heuristic still switched on task count alone.
     """
     if kernel_backend not in KERNEL_BACKENDS:
         raise ConfigurationError(

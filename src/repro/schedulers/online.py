@@ -81,7 +81,8 @@ class OnlineHarePolicy:
     #: Auto backend selection keeps re-planners on the reference loop:
     #: every event triggers a residual solve here, so the array backend's
     #: bulk fast paths never engage and its per-event overhead dominates
-    #: (measured 0.74x on the ``online_replan`` bench arm).
+    #: (the array loop is slower on the ``online_replan`` bench arm; see
+    #: DESIGN.md §15 for the measurement).
     prefers_reference_backend = True
 
     def __init__(

@@ -16,11 +16,12 @@ DESIGN.md):
     re-derives ``ŷ`` from the solved ``x̂`` and iterates.
 
 :class:`FluidRelaxationSolver`
-    An O(E log E) fluid approximation for large instances: jobs share the
-    cluster's aggregate capacity in proportion to their weights (capped by
-    their sync scale), and ``x̂`` of a round is the fluid time its work
-    starts. Produces the same *ordering signal* ``H_i`` that Algorithm 1
-    consumes; tests compare it against the exact solver on small instances.
+    A fluid approximation for large instances, solved in one scalar event
+    loop: arrived jobs share the cluster's aggregate capacity in WSPT
+    order (capped by their sync scale), and ``x̂`` of a round is the fluid
+    time its work starts. Produces the same *ordering signal* ``H_i`` that
+    Algorithm 1 consumes; tests compare it against the exact solver on
+    small instances.
 
 Both return :class:`RelaxationResult` with ``x̂_i`` and the middle
 completion times ``H_i = x̂_i + ½·max_m T^c_{i,m}`` that drive the list
@@ -29,7 +30,10 @@ scheduling of step 2.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Protocol
 
 import numpy as np
@@ -552,6 +556,12 @@ class FluidRelaxationSolver:
     With ``fair_share=True`` capacity is instead split proportionally to
     weights (max-min water-filling) — kept as an ablation of the priority
     rule.
+
+    The event loop runs on plain Python floats: online Hare re-solves at
+    every arrival with a dozen or so active jobs, where the fixed cost of
+    a numpy call outweighs its arithmetic. Python floats and float64 run
+    the same IEEE operations, so the result is bit-identical to the numpy
+    formulation kept as ``tests/oracles/fluid.py``.
     """
 
     #: Use the harmonic mean of per-GPU times instead of the arithmetic
@@ -564,126 +574,141 @@ class FluidRelaxationSolver:
     def solve(self, instance: ProblemInstance) -> RelaxationResult:
         jobs = instance.jobs
         num_jobs = len(jobs)
+        task_time = instance.train_time + instance.sync_time
         if self.harmonic:
-            rep = instance.num_gpus / (
-                (1.0 / (instance.train_time + instance.sync_time)).sum(axis=1)
-            )
+            rep_row = instance.num_gpus / (1.0 / task_time).sum(axis=1)
         else:
-            rep = (instance.train_time + instance.sync_time).mean(axis=1)
+            rep_row = task_time.mean(axis=1)
+        rep: list[float] = rep_row.tolist()
 
-        total_work = np.array(
-            [jobs[n].num_rounds * jobs[n].sync_scale * rep[n] for n in range(num_jobs)]
-        )
-        remaining = total_work.copy()
-        weights = np.array([j.weight for j in jobs], dtype=float)
-        caps = np.array([float(j.sync_scale) for j in jobs])
-        arrivals = np.array([j.arrival for j in jobs])
-
-        # Work-completed breakpoints: (time, done) piecewise-linear curves.
-        breakpoints: list[list[tuple[float, float]]] = [
-            [(arrivals[n], 0.0)] for n in range(num_jobs)
+        total_work = [
+            job.num_rounds * job.sync_scale * rep[n] for n, job in enumerate(jobs)
         ]
-        active = np.zeros(num_jobs, dtype=bool)
-        finished = np.zeros(num_jobs, dtype=bool)
+        remaining = total_work.copy()
+        weights = [float(job.weight) for job in jobs]
+        caps = [float(job.sync_scale) for job in jobs]
+        arrivals = [float(job.arrival) for job in jobs]
+
+        # Jobs are served in a static order: WSPT density (ties toward the
+        # lower index), or plain index order for the fair-share split.
+        if self.fair_share:
+            order = list(range(num_jobs))
+        else:
+            density = [w / max(p, 1e-300) for w, p in zip(weights, total_work)]
+            order = sorted(range(num_jobs), key=lambda n: (-density[n], n))
+        rank = [0] * num_jobs
+        for k, n in enumerate(order):
+            rank[n] = k
+
+        # Work-completed breakpoints per job: parallel (time, done) lists.
+        # A point is added only when the job progressed, so ``done`` is
+        # strictly increasing and a curve never has a flat segment.
+        curve_t = [[a] for a in arrivals]
+        curve_w = [[0.0] for _ in range(num_jobs)]
+        active: list[int] = []  # arrived, unfinished jobs in service order
+        unfinished = num_jobs
         t = 0.0
         capacity = float(instance.num_gpus)
-        pending_arrivals = sorted(range(num_jobs), key=lambda n: arrivals[n])
+        pending = sorted(range(num_jobs), key=lambda n: arrivals[n])
         arr_ptr = 0
         guard = 0
-        while not finished.all():
+        while unfinished:
             guard += 1
             if guard > 8 * num_jobs + 64:  # pragma: no cover - defensive
                 raise SolverError("fluid solver failed to converge")
-            while arr_ptr < num_jobs and arrivals[pending_arrivals[arr_ptr]] <= t + 1e-12:
-                n = pending_arrivals[arr_ptr]
-                if not finished[n]:
-                    active[n] = True
+            while arr_ptr < num_jobs and arrivals[pending[arr_ptr]] <= t + 1e-12:
+                insort(active, pending[arr_ptr], key=rank.__getitem__)
                 arr_ptr += 1
-            act = np.where(active)[0]
-            if len(act) == 0:
+            if not active:
                 if arr_ptr >= num_jobs:
                     raise SolverError(
                         "fluid solver: no active jobs and none arriving"
                     )  # pragma: no cover - defensive
-                t = float(arrivals[pending_arrivals[arr_ptr]])
+                t = arrivals[pending[arr_ptr]]
                 continue
+            # Rates of the served prefix of ``active``; the rest get 0.
             if self.fair_share:
-                rates = _water_fill(weights[act], caps[act], capacity)
+                rates = _water_fill(
+                    np.array([weights[n] for n in active]),
+                    np.array([caps[n] for n in active]),
+                    capacity,
+                ).tolist()
             else:
-                rates = _density_fill(
-                    weights[act], total_work[act], caps[act], capacity
-                )
+                rates = []
+                free = capacity
+                for n in active:
+                    if free <= 1e-15:
+                        break
+                    give = free if free < caps[n] else caps[n]
+                    rates.append(give)
+                    free -= give
             # Next event: a job finishing or the next arrival.
-            with np.errstate(divide="ignore"):
-                finish_dt = np.where(rates > 0, remaining[act] / rates, np.inf)
-            dt = float(finish_dt.min())
+            dt = min(
+                (remaining[n] / r for n, r in zip(active, rates) if r > 0),
+                default=math.inf,
+            )
             next_arrival = (
-                float(arrivals[pending_arrivals[arr_ptr]])
-                if arr_ptr < num_jobs
-                else np.inf
+                arrivals[pending[arr_ptr]] if arr_ptr < num_jobs else math.inf
             )
             dt = min(dt, next_arrival - t)
-            if not np.isfinite(dt) or dt < 0:
+            if not math.isfinite(dt) or dt < 0:
                 raise SolverError("fluid solver produced a bad step")
             t_next = t + dt
-            for idx, n in enumerate(act):
-                done_before = total_work[n] - remaining[n]
-                remaining[n] = max(0.0, remaining[n] - rates[idx] * dt)
-                done_after = total_work[n] - remaining[n]
-                if done_after > done_before:
-                    breakpoints[n].append((t_next, done_after))
+            still_active: list[int] = []
+            for n, rate in zip_longest(active, rates, fillvalue=0.0):
+                # != rather than >: a NaN rate (an infinite weight in the
+                # fair split) drains the job, as it does in the oracle.
+                if rate != 0.0:
+                    left = remaining[n] - rate * dt
+                    if not left > 0.0:
+                        left = 0.0
+                    done_before = total_work[n] - remaining[n]
+                    done_after = total_work[n] - left
+                    remaining[n] = left
+                    if done_after > done_before:
+                        curve_t[n].append(t_next)
+                        curve_w[n].append(done_after)
                 if remaining[n] <= 1e-12:
-                    finished[n] = True
-                    active[n] = False
+                    unfinished -= 1
+                else:
+                    still_active.append(n)
+            active = still_active
             t = t_next
 
-        # Invert the work curves to get round start times (batched per job:
-        # one searchsorted over all round targets instead of a Python scan
-        # per round).
+        # Invert each work curve at the round targets r·round_work. The
+        # targets ascend, so each search starts where the last one ended.
+        half_max_tc = (instance.train_time.max(axis=1) / 2.0).tolist()
         x_hat: dict[TaskRef, float] = {}
+        h: dict[TaskRef, float] = {}
         for n, job in enumerate(jobs):
+            times, works = curve_t[n], curve_w[n]
             round_work = job.sync_scale * rep[n]
-            targets = np.arange(job.num_rounds) * round_work
-            starts = _invert_curve_batch(breakpoints[n], targets)
+            w_end = works[-1]
+            j = 1
             for r in range(job.num_rounds):
-                start = float(starts[r])
+                # Clamp: float drift can put the last target ~1 ulp past
+                # the curve's total work.
+                target = r * round_work
+                if target > w_end:
+                    target = w_end
+                if target <= 0:
+                    start = times[0]
+                else:
+                    # First segment end j >= 1 reaching target - 1e-12.
+                    j = bisect_left(works, target - 1e-12, j)
+                    t0, w0 = times[j - 1], works[j - 1]
+                    frac = (target - w0) / (works[j] - w0)
+                    start = t0 + frac * (times[j] - t0)
+                mid = start + half_max_tc[n]
                 for d in range(job.sync_scale):
-                    x_hat[TaskRef(n, r, d)] = start
+                    task = TaskRef(n, r, d)
+                    x_hat[task] = start
+                    h[task] = mid
 
-        h = _middle_completion(instance, x_hat)
         objective = float(
-            sum(
-                jobs[n].weight * breakpoints[n][-1][0]
-                for n in range(num_jobs)
-            )
+            sum(job.weight * curve_t[n][-1] for n, job in enumerate(jobs))
         )
         return RelaxationResult(x_hat=x_hat, h=h, objective=objective)
-
-
-def _density_fill(
-    weights: np.ndarray,
-    total_work: np.ndarray,
-    caps: np.ndarray,
-    capacity: float,
-) -> np.ndarray:
-    """WSPT-priority rates: densest jobs first, each capped at sync_scale.
-
-    Density is ``w_n / total work`` (static, so a job's priority does not
-    drift as it progresses — the classic WSPT rule). Ties break toward the
-    lower index for determinism.
-    """
-    n = len(weights)
-    density = weights / np.maximum(total_work, 1e-300)
-    order = sorted(range(n), key=lambda i: (-density[i], i))
-    rates = np.zeros(n)
-    remaining = capacity
-    for i in order:
-        if remaining <= 1e-15:
-            break
-        give = min(caps[i], remaining)
-        rates[i] = give
-        remaining -= give
-    return rates
 
 
 def _water_fill(
@@ -712,56 +737,3 @@ def _water_fill(
         remaining_cap -= float(caps[hit].sum())
         unclamped[hit] = False
     return rates
-
-
-def _invert_curve(curve: list[tuple[float, float]], target: float) -> float:
-    """Earliest time the piecewise-linear work curve reaches *target*.
-
-    *target* is clamped to the curve's final work value: accumulated float
-    drift can make the last round's target overshoot the total work by
-    ~1e-12, and falling off the end would date that round at the job's
-    completion instant instead of interpolating inside the last segment.
-    """
-    w_end = curve[-1][1]
-    if target > w_end:
-        target = w_end
-    if target <= 0:
-        return curve[0][0]
-    for (t0, w0), (t1, w1) in zip(curve, curve[1:]):
-        if w1 < w0:
-            raise SolverError("work curve is not monotone")
-        if w1 >= target - 1e-12:
-            if w1 == w0:
-                return t1
-            frac = (target - w0) / (w1 - w0)
-            return t0 + frac * (t1 - t0)
-    return curve[-1][0]  # pragma: no cover - unreachable after clamping
-
-
-def _invert_curve_batch(
-    curve: list[tuple[float, float]], targets: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`_invert_curve` over many targets at once.
-
-    Matches the scalar routine bit-for-bit: the segment index from
-    ``searchsorted`` reproduces the scalar scan's first ``w1 >= target -
-    1e-12`` hit, and the interpolation uses the identical expression.
-    """
-    times = np.array([t for t, _ in curve])
-    works = np.array([w for _, w in curve])
-    if np.any(np.diff(works) < 0):
-        raise SolverError("work curve is not monotone")
-    clamped = np.minimum(targets, works[-1])
-    if len(curve) == 1:
-        return np.full(len(targets), times[0])
-    # First segment end j >= 1 with works[j] >= target - 1e-12.
-    j = np.maximum(np.searchsorted(works, clamped - 1e-12, side="left"), 1)
-    w0 = works[j - 1]
-    w1 = works[j]
-    t0 = times[j - 1]
-    t1 = times[j]
-    flat = w1 == w0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (clamped - w0) / np.where(flat, 1.0, w1 - w0)
-    starts = np.where(flat, t1, t0 + frac * (t1 - t0))
-    return np.where(clamped <= 0, times[0], starts)

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.control import (
+    CheckpointRestored,
+    CheckpointSaved,
     GradientPush,
+    Heartbeat,
     JobCompleted,
     ModelUpdate,
     PlannedTask,
@@ -17,6 +20,7 @@ from repro.control import (
     from_wire,
     to_wire,
 )
+from repro.control.messages import _REGISTRY
 from repro.core.errors import ConfigurationError
 
 SAMPLES = [
@@ -79,3 +83,26 @@ class TestPayloadAccounting:
     def test_wire_bytes_positive(self):
         for msg in SAMPLES:
             assert msg.wire_bytes() > 0
+
+    def test_wire_bytes_match_the_serialized_wire_dict(self):
+        """``wire_bytes`` sizes a shallow field dict; it must equal the
+        length of the JSON of ``to_wire`` plus the payload, for every
+        registered message type."""
+        extra = [
+            TaskSequence(
+                gpu_id=2,
+                tasks=tuple(
+                    to_wire(PlannedTask(1, r, 0, 0.5 * r, 1.0, 0.1))
+                    for r in range(3)
+                ),
+            ),
+            CheckpointSaved(job_id=1, round_idx=4, version=5, path="ckpt/1/5"),
+            Heartbeat(gpu_id=3, seq=7, time=7.25),
+            CheckpointRestored(job_id=1, version=5, round_idx=4, time=9.5,
+                               data_bytes=3e7),
+        ]
+        samples = {type(m): m for m in SAMPLES + extra}
+        assert set(samples) == set(_REGISTRY.values())
+        for msg in samples.values():
+            expected = len(json.dumps(to_wire(msg))) + msg.payload_bytes
+            assert msg.wire_bytes() == expected, type(msg).__name__

@@ -182,6 +182,19 @@ class TestRunDetection:
         # drops only ever delay detection
         assert result.latency_s >= 4.0 - 1e-9
 
+    def test_crash_before_start_is_detected(self):
+        """A crash that lands while an earlier one is still being handled
+        reaches the detector with ``start > crash.time``: the GPU is silent
+        from *start* on, and its lease must expire from there."""
+        cfg = HeartbeatConfig(interval_s=1.0, suspect_misses=2, lease_s=5.0)
+        crash = GpuCrash(time=3.0, gpu_id=1)
+        result = run_detection(
+            self.transport(), [0, 1, 2], crash,
+            FaultScenario(crashes=(crash,)), cfg=cfg, start=20.0,
+        )
+        assert result.detected_at == 25.0
+        assert result.suspect_events == ()
+
     def test_crash_target_must_be_alive(self):
         crash = GpuCrash(time=1.0, gpu_id=2)
         with pytest.raises(ConfigurationError, match="not among alive"):

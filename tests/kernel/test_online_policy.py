@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import ExperimentSpec, run_experiment
+from repro.cluster.cluster import scaled_cluster
 from repro.core import (
     Job,
     ProblemInstance,
     metrics_from_schedule,
     validate_schedule,
 )
+from repro.harness import experiments
 from repro.kernel import run_policy
 from repro.schedulers import HareScheduler, OnlineHarePolicy
+from repro.workload import WorkloadConfig
 
 from tests.conftest import make_random_instance
 
@@ -156,3 +162,53 @@ class TestFaults:
         result = run_policy(inst, OnlineHarePolicy(), crashes=[(0.5, 1)])
         assert result.retracted_rounds == 0
         assert len(result.schedule) == inst.num_tasks
+
+
+def schedule_digest(schedule) -> str:
+    """SHA-256 of a schedule's sorted assignment rows (exact floats)."""
+    rows = sorted(
+        (
+            a.task.job_id, a.task.round_idx, a.task.slot, a.gpu,
+            a.start, a.train_time, a.sync_time,
+        )
+        for a in schedule.assignments.values()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestGoldenSchedule:
+    """Pins online Hare's committed schedule to the bit.
+
+    One streamed 50-job run on 20 GPUs with two crashes inside the
+    arrival window re-plans 52 times and retracts committed rounds. The
+    digest was captured before the fluid relaxation became a scalar
+    loop; any drift in a re-planning layer (relaxation, ordering, list
+    scheduling, residual construction, commitment) changes it.
+    """
+
+    DIGEST = "ad21da83e856973e9b3893819eb1ce45db40246983c6ab38a28c664042150b93"
+
+    def test_streamed_run_with_two_crashes_is_unchanged(self):
+        jobs = experiments.make_loaded_workload(
+            50,
+            reference_gpus=20,
+            load=1.5,
+            seed=3,
+            config=WorkloadConfig(rounds_scale=0.1),
+        )
+        last = max(job.arrival for job in jobs)
+        result = run_experiment(
+            ExperimentSpec(
+                cluster=scaled_cluster(20),
+                workload=jobs,
+                scheduler="hare_online",
+                seed=3,
+                arrivals="streaming",
+                crashes=((0.3 * last, 4), (0.6 * last, 13)),
+                trace=False,
+            )
+        )
+        assert result.kernel.replans == 52
+        assert result.kernel.retracted_rounds == 6
+        assert len(result.plan.assignments) == 656
+        assert schedule_digest(result.plan) == self.DIGEST

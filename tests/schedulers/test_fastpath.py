@@ -1,12 +1,14 @@
 """Equivalence suite: vectorized hot paths vs the ``_reference_`` originals.
 
 The tentpole fast paths (vectorized ``list_schedule``, single-pass
-``_precedence_safe_order``, incremental warm-started cut LP, batch
-breakpoint inversion, the parallel sweep runner) are all pure refactors:
-same schedules, same objectives, same metrics. This suite pins that —
+``_precedence_safe_order``, incremental warm-started cut LP, the
+parallel sweep runner) are all pure refactors: same schedules, same
+objectives, same metrics. This suite pins that —
 byte-identical ``Schedule``s against the kept reference implementations,
 objective agreement within 1e-9 for the relaxation, and per-cell metric
 equality between ``repro.api.sweep`` and serial ``run_experiment``.
+The scalar fluid relaxation has its own oracle suite,
+``test_fluid_oracle.py``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
-"""Unit tests for relaxation-solver internals (fills, curves, cuts)."""
+"""Unit tests for relaxation-solver internals (fills, curves, cuts).
+
+The density fill and curve inversions tested here belong to the numpy
+fluid oracle (``tests/oracles/fluid.py``) the shipped solver is checked
+against; the water fill is still shipped.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import SolverError
-from repro.schedulers.relaxation import (
+from repro.schedulers.relaxation import _water_fill
+from tests.oracles.fluid import (
     _density_fill,
     _invert_curve,
     _invert_curve_batch,
-    _water_fill,
 )
 
 
