@@ -9,9 +9,10 @@ heterogeneity-aware?
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import TESTBED_MIX, make_cluster
 from repro.core import GPUModel
-from repro.harness import render_table, run_comparison
+from repro.harness import render_table
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 
@@ -35,7 +36,9 @@ def test_ext_fleet_upgrade(benchmark, report):
         out = {}
         for label, models in FLEETS.items():
             cluster = make_cluster(models)
-            results = run_comparison(cluster, jobs)
+            results = compare(
+                cluster=cluster, workload=jobs, trace=False
+            ).results
             out[label] = {
                 name: r.plan_metrics.total_weighted_flow
                 for name, r in results.items()

@@ -7,8 +7,9 @@ arrivals) against offline Hare and the baselines on a bursty trace.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
-from repro.harness import render_table, run_comparison
+from repro.harness import render_table
 from repro.harness.experiments import make_loaded_workload
 from repro.schedulers import (
     GavelFifoScheduler,
@@ -27,16 +28,17 @@ def test_ext_online_hare(benchmark, report):
     )
 
     def run():
-        results = run_comparison(
-            cluster,
-            jobs,
+        results = compare(
+            cluster=cluster,
+            workload=jobs,
             schedulers=[
                 GavelFifoScheduler(),
                 SchedAlloxScheduler(),
                 OnlineHareScheduler(),
                 HareScheduler(relaxation="fluid"),
             ],
-        )
+            trace=False,
+        ).results
         return {
             name: r.plan_metrics.total_weighted_flow
             for name, r in results.items()

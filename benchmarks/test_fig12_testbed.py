@@ -7,14 +7,17 @@ Hare's switching charged) plays the testbed's.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.core import improvement_percent
-from repro.harness import render_table, run_comparison
+from repro.harness import render_table
 
 
 def test_fig12_testbed(benchmark, report, testbed, testbed_jobs):
     results = run_once(
         benchmark,
-        lambda: run_comparison(testbed, testbed_jobs, simulate=True),
+        lambda: compare(
+            cluster=testbed, workload=testbed_jobs, simulate=True, trace=False
+        ).results,
     )
 
     rows = []

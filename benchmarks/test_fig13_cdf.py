@@ -9,13 +9,17 @@ check the same dominance at a horizon calibrated to our workload scale
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.core import jct_cdf
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 
 
 def test_fig13_cdf(benchmark, report, testbed, testbed_jobs):
     results = run_once(
-        benchmark, lambda: run_comparison(testbed, testbed_jobs)
+        benchmark,
+        lambda: compare(
+            cluster=testbed, workload=testbed_jobs, trace=False
+        ).results,
     )
     metrics = {name: r.plan_metrics for name, r in results.items()}
 

@@ -8,8 +8,9 @@ parallelism is the only differentiator.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import heterogeneity_preset
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 
@@ -30,7 +31,9 @@ def test_fig16_heterogeneity(benchmark, report):
         series: dict[str, list[float]] = {}
         for level in LEVELS:
             cluster = heterogeneity_preset(level, NUM_GPUS)
-            results = run_comparison(cluster, jobs)
+            results = compare(
+                cluster=cluster, workload=jobs, trace=False
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow

@@ -6,9 +6,10 @@ lowers it (lightest jobs); Hare stays best under every mix.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
 from repro.core import Domain
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig, mix_with_boost
 
@@ -34,7 +35,9 @@ def test_fig17_job_mix(benchmark, report):
             jobs = make_loaded_workload(
                 80, reference_gpus=NUM_GPUS, load=2.0, seed=17, config=cfg
             )
-            results = run_comparison(cluster, jobs)
+            results = compare(
+                cluster=cluster, workload=jobs, trace=False
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow

@@ -11,9 +11,10 @@ weighted JCT normalized by k so "no big influence" is directly visible.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
 from repro.core import Job
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 
@@ -46,7 +47,9 @@ def test_fig19_batch_size(benchmark, report):
                 )
                 for j in base
             ]
-            results = run_comparison(cluster, jobs)
+            results = compare(
+                cluster=cluster, workload=jobs, trace=False
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow / k

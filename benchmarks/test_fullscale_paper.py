@@ -8,8 +8,9 @@ replay with switching dynamics at the 160-GPU point (≈ 30 k tasks,
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.schedulers import HareScheduler
 from repro.sim import simulate_plan
@@ -27,7 +28,9 @@ def test_fullscale_paper(benchmark, report):
     def run():
         series: dict[str, list[float]] = {}
         for m in GPU_COUNTS:
-            results = run_comparison(scaled_cluster(m), jobs)
+            results = compare(
+                cluster=scaled_cluster(m), workload=jobs, trace=False
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow

@@ -13,13 +13,13 @@ Run:  python examples/cluster_capacity_planning.py
 
 import numpy as np
 
+from repro.api import compare
 from repro.cluster import heterogeneity_preset, scaled_cluster
 from repro.harness import (
     make_loaded_workload,
     make_problem,
     render_series,
     render_table,
-    run_comparison,
 )
 from repro.schedulers import create
 from repro.sim import simulate_plan
@@ -31,7 +31,9 @@ def sweep_cluster_size(jobs) -> None:
     sizes = (16, 32, 64)
     series: dict[str, list[float]] = {}
     for m in sizes:
-        results = run_comparison(scaled_cluster(m), jobs)
+        results = compare(
+            cluster=scaled_cluster(m), workload=jobs, trace=False
+        ).results
         for name, r in results.items():
             series.setdefault(name, []).append(
                 r.plan_metrics.total_weighted_flow
@@ -54,7 +56,7 @@ def compare_fleet_mixes(jobs) -> None:
         ("high", "V100 x T4 x K80 x M60"),
     ):
         cluster = heterogeneity_preset(level, 32)
-        results = run_comparison(cluster, jobs)
+        results = compare(cluster=cluster, workload=jobs, trace=False).results
         flows = {
             k: v.plan_metrics.total_weighted_flow for k, v in results.items()
         }

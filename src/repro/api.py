@@ -30,7 +30,7 @@ result objects know how to export their artifacts::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Literal, Mapping, Sequence, Union
 
@@ -95,11 +95,13 @@ class ExperimentSpec:
     (``workload``, ``crashes``) are normalized to tuples so a spec never
     aliases caller state.
 
-    :func:`run_experiment` accepts a spec positionally
-    (``run_experiment(spec)``) or builds one from its keyword arguments;
-    :func:`compare`, :func:`repro.sweep.sweep` and the CLI construct
-    specs internally, so every entry point funnels through the same
-    validation. :meth:`to_dict` is the manifest's ``config`` block.
+    It is the only description of a run: :func:`run_experiment` accepts
+    a spec positionally (``run_experiment(spec)``) or builds one from
+    its keyword arguments, :func:`compare` varies the ``scheduler`` of
+    one template spec, :func:`repro.sweep.sweep` holds a grid of specs,
+    and every CLI verb that runs an experiment builds one from its
+    flags. :meth:`to_dict` is the manifest's ``config`` block and
+    :meth:`from_dict` its inverse.
     """
 
     gpus: int = 15
@@ -228,6 +230,19 @@ class ExperimentSpec:
             config["cell_strategy"] = self.cell_strategy
             config["admission"] = self.admission
         return config
+
+    @classmethod
+    def from_dict(cls, config: Mapping, **fields) -> "ExperimentSpec":
+        """The spec a :meth:`to_dict` block describes (its inverse).
+
+        ``from_dict(spec.to_dict()).to_dict() == spec.to_dict()`` for
+        every spec; *fields* set what the block does not record
+        (``trace``, ``record``, ...). Unknown keys raise ``TypeError``.
+        """
+        config = {**config, **fields}
+        if "switch_mode" in config:
+            config["switch_mode"] = SwitchMode(config["switch_mode"])
+        return cls(**config)
 
 
 @dataclass(slots=True)
@@ -495,80 +510,41 @@ class CompareResult:
 
 
 # ----------------------------------------------------------------------
-def _setup(
-    *,
-    gpus: int,
-    jobs: int,
-    seed: int,
-    load: float,
-    rounds_scale: float,
-    cluster: Cluster | None,
-    workload: Sequence[Job] | None,
-) -> tuple[Cluster, list[Job], ProblemInstance]:
+def _setup(spec: ExperimentSpec) -> tuple[Cluster, ProblemInstance]:
+    """The run's cluster and profiled instance: the spec's own, or the
+    testbed/scaled cluster and loaded workload its fields describe."""
+    cluster = spec.cluster
     if cluster is None:
-        cluster = testbed_cluster() if gpus == 15 else scaled_cluster(gpus)
+        cluster = (
+            testbed_cluster() if spec.gpus == 15
+            else scaled_cluster(spec.gpus)
+        )
+    workload = spec.workload
     if workload is None:
         workload = make_loaded_workload(
-            jobs,
+            spec.jobs,
             reference_gpus=cluster.num_gpus,
-            load=load,
-            seed=seed,
-            config=WorkloadConfig(rounds_scale=rounds_scale),
+            load=spec.load,
+            seed=spec.seed,
+            config=WorkloadConfig(rounds_scale=spec.rounds_scale),
         )
-    workload = list(workload)
-    return cluster, workload, make_problem(cluster, workload)
+    return cluster, make_problem(cluster, list(workload))
 
 
 def _run_one(
-    scheduler: SchedulerSpec,
+    spec: ExperimentSpec,
     cluster: Cluster,
     instance: ProblemInstance,
-    *,
-    simulate: bool,
-    switch_mode: SwitchMode,
-    trace: bool,
-    validate: bool,
     config: dict,
-    arrivals: ArrivalsMode = "planned",
-    record: bool = False,
-    monitors: bool = False,
-    heal: bool = False,
-    replan_interval: float | None = None,
-    crashes: Sequence[tuple[float, int]] | None = None,
-    kernel_backend: str = "auto",
-    cells: int = 1,
-    cell_strategy: str = "balanced",
-    admission: str = "throughput",
 ) -> RunResult:
-    if arrivals not in _ARRIVALS_MODES:
-        raise ValueError(
-            f"arrivals must be one of {_ARRIVALS_MODES}, got {arrivals!r}"
-        )
-    if arrivals != "streaming" and (
-        heal or replan_interval is not None or crashes
-    ):
-        raise ValueError(
-            "heal / replan_interval / crashes require arrivals='streaming' "
-            "(they act on the kernel event loop)"
-        )
-    if cells > 1 and arrivals != "streaming":
-        raise ValueError(
-            "cells > 1 requires arrivals='streaming' (cells run per-cell "
-            "scheduling kernels)"
-        )
-    if cells > 1 and heal:
-        raise ValueError(
-            "heal=True needs the flat kernel (cells=1): the remediation "
-            "engine attaches to a single event loop"
-        )
-    sched = create_from_spec(scheduler)
-    engine = RemediationEngine(instance) if heal else None
+    sched = create_from_spec(spec.scheduler)
+    engine = RemediationEngine(instance) if spec.heal else None
     obs = Obs.start(
-        trace=trace,
-        record=record or monitors or heal,
+        trace=spec.trace,
+        record=spec.record or spec.monitors or spec.heal,
         monitors=(
             [engine] if engine is not None
-            else default_monitors(instance) if monitors
+            else default_monitors(instance) if spec.monitors
             else None
         ),
     )
@@ -580,36 +556,38 @@ def _run_one(
         obs.recorder.attach(attrib_engine)
     kernel_result: KernelResult | None = None
     with use(obs):
-        if arrivals == "streaming" and cells > 1:
+        if spec.arrivals == "streaming" and spec.cells > 1:
             kernel_result = run_sharded(
                 instance,
                 sched,
-                cells=cells,
-                strategy=cell_strategy,
+                cells=spec.cells,
+                strategy=spec.cell_strategy,
                 cluster=cluster,
-                admission=admission,
-                crashes=crashes,
-                replan_interval=replan_interval,
-                kernel_backend=kernel_backend,
+                admission=spec.admission,
+                crashes=spec.crashes,
+                replan_interval=spec.replan_interval,
+                kernel_backend=spec.kernel_backend,
             )
             plan = kernel_result.schedule
-        elif arrivals == "streaming":
+        elif spec.arrivals == "streaming":
             kernel_result = run_policy(
                 instance,
                 sched.make_policy(instance),
-                crashes=crashes,
-                replan_interval=replan_interval,
+                crashes=spec.crashes,
+                replan_interval=spec.replan_interval,
                 heal=engine,
-                kernel_backend=kernel_backend,
+                kernel_backend=spec.kernel_backend,
             )
             plan = kernel_result.schedule
         else:
             plan = sched.plan(instance)
-        if validate:
+        if spec.validate:
             validate_schedule(plan)
         sim = (
-            simulate_plan(cluster, instance, plan, switch_mode=switch_mode)
-            if simulate
+            simulate_plan(
+                cluster, instance, plan, switch_mode=spec.switch_mode
+            )
+            if spec.simulate
             else None
         )
     result = RunResult(
@@ -623,7 +601,7 @@ def _run_one(
         config=config,
         kernel=kernel_result,
     )
-    if obs.recorder is not None and (monitors or heal):
+    if obs.recorder is not None and (spec.monitors or spec.heal):
         result.diagnosis = obs.recorder.diagnose(
             instance=instance, metrics=result.metrics_snapshot()
         )
@@ -699,21 +677,8 @@ def run_experiment(
             "run_experiment() positional argument must be an "
             f"ExperimentSpec, got {type(spec).__name__}"
         )
-    cluster, workload, instance = _setup(
-        gpus=spec.gpus, jobs=spec.jobs, seed=spec.seed, load=spec.load,
-        rounds_scale=spec.rounds_scale, cluster=spec.cluster,
-        workload=spec.workload,
-    )
-    return _run_one(
-        spec.scheduler, cluster, instance,
-        simulate=spec.simulate, switch_mode=spec.switch_mode,
-        trace=spec.trace, validate=spec.validate, config=spec.to_dict(),
-        arrivals=spec.arrivals, record=spec.record, monitors=spec.monitors,
-        heal=spec.heal, replan_interval=spec.replan_interval,
-        crashes=spec.crashes, kernel_backend=spec.kernel_backend,
-        cells=spec.cells, cell_strategy=spec.cell_strategy,
-        admission=spec.admission,
-    )
+    cluster, instance = _setup(spec)
+    return _run_one(spec, cluster, instance, spec.to_dict())
 
 
 def simulate(
@@ -764,78 +729,41 @@ def simulate(
 
 def compare(
     *,
-    gpus: int = 15,
-    jobs: int = 20,
     schedulers: Sequence[SchedulerSpec] | None = None,
-    seed: int = 0,
-    load: float = 1.5,
-    rounds_scale: float = 0.15,
     simulate: bool = False,
-    switch_mode: SwitchMode = SwitchMode.HARE,
-    trace: bool = True,
-    validate: bool = True,
-    cluster: Cluster | None = None,
-    workload: Sequence[Job] | None = None,
-    arrivals: ArrivalsMode = "planned",
-    record: bool = False,
-    monitors: bool = False,
-    kernel_backend: str = "auto",
-    cells: int = 1,
-    cell_strategy: str = "balanced",
-    admission: str = "throughput",
+    **fields,
 ) -> CompareResult:
     """Run several schedulers on one shared workload.
 
-    Defaults to the paper's five compared schemes (Hare last). Each run
-    gets a private tracer and registry; :meth:`CompareResult.write_trace`
-    merges them into one Perfetto file with a process per scheduler.
-    ``arrivals="streaming"`` drives every scheme through the
-    :mod:`repro.kernel` event loop instead of offline planning; every
-    scheme's run is described by an :class:`ExperimentSpec` internally,
-    so the same construction-time validation applies.
+    Defaults to the paper's five compared schemes (Hare last). The other
+    keywords are :class:`ExperimentSpec` fields (except ``scheduler``):
+    they build one validated template spec, and each scheme's run is
+    that template with only ``scheduler`` replaced. The workload is
+    generated (or profiled) once and shared by every run; the result's
+    ``config`` is the template's :meth:`~ExperimentSpec.to_dict`
+    without ``"scheduler"``. Unlike :func:`run_experiment`, ``simulate``
+    defaults to ``False``.
+
+    Each run gets a private tracer and registry;
+    :meth:`CompareResult.write_trace` merges them into one Perfetto file
+    with a process per scheduler. ``arrivals="streaming"`` drives every
+    scheme through the :mod:`repro.kernel` event loop instead of offline
+    planning.
     """
-    cluster, workload, instance = _setup(
-        gpus=gpus, jobs=jobs, seed=seed, load=load,
-        rounds_scale=rounds_scale, cluster=cluster, workload=workload,
-    )
-    schemes = list(schedulers) if schedulers is not None else list(
-        DEFAULT_SCHEMES
-    )
-    config = {
-        "gpus": cluster.num_gpus,
-        "jobs": len(workload),
-        "seed": seed,
-        "load": load,
-        "rounds_scale": rounds_scale,
-        "simulate": simulate,
-        "switch_mode": switch_mode.value,
-        "arrivals": arrivals,
-    }
-    if kernel_backend != "auto":
-        config["kernel_backend"] = kernel_backend
-    if cells > 1:
-        config["cells"] = cells
-        config["cell_strategy"] = cell_strategy
-        config["admission"] = admission
-    results: dict[str, RunResult] = {}
-    for scheme in schemes:
-        spec = ExperimentSpec(
-            gpus=gpus, jobs=jobs, scheduler=scheme, seed=seed, load=load,
-            rounds_scale=rounds_scale, simulate=simulate,
-            switch_mode=switch_mode, trace=trace, validate=validate,
-            cluster=cluster, workload=tuple(workload), arrivals=arrivals,
-            record=record, monitors=monitors,
-            kernel_backend=kernel_backend,
-            cells=cells, cell_strategy=cell_strategy, admission=admission,
+    if "scheduler" in fields:
+        raise TypeError(
+            "compare() takes schedulers=[...], not scheduler="
         )
+    template = ExperimentSpec(simulate=simulate, **fields)
+    cluster, instance = _setup(template)
+    config = template.to_dict()
+    del config["scheduler"]
+    results: dict[str, RunResult] = {}
+    for scheme in (
+        DEFAULT_SCHEMES if schedulers is None else schedulers
+    ):
         run = _run_one(
-            spec.scheduler, cluster, instance,
-            simulate=spec.simulate, switch_mode=spec.switch_mode,
-            trace=spec.trace, validate=spec.validate, config=config,
-            arrivals=spec.arrivals, record=spec.record,
-            monitors=spec.monitors, kernel_backend=spec.kernel_backend,
-            cells=spec.cells, cell_strategy=spec.cell_strategy,
-            admission=spec.admission,
+            replace(template, scheduler=scheme), cluster, instance, config
         )
         results[run.scheduler] = run
     return CompareResult(results=results, config=config)

@@ -56,6 +56,7 @@ sum-to-JCT invariant.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -72,6 +73,10 @@ from .switching import switch_time_table
 from .workload import WorkloadConfig, batch_time, speedup_table
 
 
+class _UsageError(Exception):
+    """Flags that describe no valid run; :func:`main` exits 2."""
+
+
 def _cluster(args: argparse.Namespace):
     if args.gpus == 15:
         return testbed_cluster()
@@ -79,7 +84,7 @@ def _cluster(args: argparse.Namespace):
 
 
 def _workload(args: argparse.Namespace):
-    if getattr(args, "trace", None):
+    if args.trace:
         from .workload import load_jobs_csv
 
         return load_jobs_csv(args.trace)
@@ -90,11 +95,70 @@ def _workload(args: argparse.Namespace):
         seed=args.seed,
         config=WorkloadConfig(rounds_scale=args.rounds_scale),
     )
-    if getattr(args, "save_trace", None):
+    if args.save_trace:
         from .workload import save_jobs_csv
 
         save_jobs_csv(jobs, args.save_trace)
     return jobs
+
+
+def _parse_crashes(specs: Sequence[str]) -> tuple[tuple[float, int], ...]:
+    """``TIME:GPU`` crash flags as ``(time, gpu)`` pairs."""
+    crashes = []
+    for spec in specs:
+        try:
+            time, gpu = spec.split(":")
+            crashes.append((float(time), int(gpu)))
+        except ValueError:
+            raise ValueError(f"crash {spec!r} is not TIME:GPU") from None
+    return tuple(crashes)
+
+
+#: Parsed flags that are :class:`~repro.api.ExperimentSpec` fields of the
+#: same name. A verb only has the flags its run honours; the spec keeps
+#: its default for the rest.
+_SPEC_FLAGS = (
+    "gpus", "jobs", "seed", "load", "rounds_scale", "simulate", "arrivals",
+    "kernel_backend", "cells", "cell_strategy", "admission",
+    "replan_interval",
+)
+
+
+def _spec(args: argparse.Namespace, **overrides) -> api.ExperimentSpec:
+    """The :class:`~repro.api.ExperimentSpec` a verb's flags describe.
+
+    *overrides* pin the fields the verb decides itself. An unknown
+    scheduler, a malformed crash or a combination the spec rejects
+    raises :class:`_UsageError` with the underlying message.
+    """
+    fields = {k: v for k, v in vars(args).items() if k in _SPEC_FLAGS}
+    fields.update(
+        cluster=_cluster(args),
+        workload=_workload(args),
+        trace=_wants_artifacts(args),
+    )
+    # The trace's events come from the DES: --trace-out implies replay.
+    if getattr(args, "trace_out", None):
+        fields["simulate"] = True
+    try:
+        if getattr(args, "crash", None):
+            fields["crashes"] = _parse_crashes(args.crash)
+        if "scheduler" not in overrides:
+            fields["scheduler"] = create_scheduler(args.scheduler)
+        return api.ExperimentSpec(**{**fields, **overrides})
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc) from None
+
+
+def _compare(args: argparse.Namespace, **overrides) -> api.CompareResult:
+    """:func:`repro.api.compare` of the five schemes on ``_spec(args)``."""
+    # compare varies the scheduler; the template's is a placeholder.
+    spec = _spec(args, scheduler="hare", **overrides)
+    return api.compare(**{
+        f.name: getattr(spec, f.name)
+        for f in dataclasses.fields(spec)
+        if f.name != "scheduler"
+    })
 
 
 def _wants_artifacts(args: argparse.Namespace) -> bool:
@@ -119,24 +183,7 @@ def _write_artifacts(args: argparse.Namespace, result) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    # The trace's events come from the DES, so --trace-out implies replay.
-    simulate = args.simulate or bool(getattr(args, "trace_out", None))
-    comparison = api.compare(
-        cluster=cluster,
-        workload=jobs,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=simulate,
-        trace=_wants_artifacts(args),
-        arrivals=getattr(args, "arrivals", "planned"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
-        cells=getattr(args, "cells", 1),
-        cell_strategy=getattr(args, "cell_strategy", "balanced"),
-        admission=getattr(args, "admission", "throughput"),
-    )
+    comparison = _compare(args)
     results = comparison.results
     hare = results["Hare"].metrics.total_weighted_flow
     rows = []
@@ -156,9 +203,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
              "Hare reduction %"],
             rows,
             title=(
-                f"{args.jobs} jobs on {cluster.num_gpus} GPUs "
+                f"{args.jobs} jobs on {comparison.config['gpus']} GPUs "
                 f"(load {args.load}, seed {args.seed}"
-                f"{', DES replay' if simulate else ''})"
+                f"{', DES replay' if comparison.config['simulate'] else ''})"
             ),
             float_fmt="{:.1f}",
         )
@@ -168,29 +215,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    simulate = args.simulate or bool(getattr(args, "trace_out", None))
-    r = api.run_experiment(
-        cluster=cluster,
-        workload=jobs,
-        scheduler=scheduler,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=simulate,
-        trace=_wants_artifacts(args),
-        arrivals=getattr(args, "arrivals", "planned"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
-        cells=getattr(args, "cells", 1),
-        cell_strategy=getattr(args, "cell_strategy", "balanced"),
-        admission=getattr(args, "admission", "throughput"),
-    )
+    r = api.run_experiment(_spec(args))
     m = r.metrics
     rows = [
         ["weighted JCT (Σ w·(C−a))", m.total_weighted_flow],
@@ -209,20 +234,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         render_table(
             ["metric", "value"],
             rows,
-            title=f"{scheduler.name} on {cluster.num_gpus} GPUs, "
+            title=f"{r.scheduler} on {r.cluster.num_gpus} GPUs, "
             f"{args.jobs} jobs",
             float_fmt="{:.3f}",
         )
     )
     _write_artifacts(args, r)
     return 0
-
-
-def _parse_crash(spec: str):
-    from .faults import GpuCrash
-
-    time, gpu = spec.split(":")
-    return GpuCrash(time=float(time), gpu_id=int(gpu))
 
 
 def _parse_slowdown(spec: str):
@@ -246,7 +264,12 @@ def _parse_partition(spec: str):
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .control import ControlPlane
-    from .faults import FaultScenario, HeartbeatConfig, RpcFlakiness
+    from .faults import (
+        FaultScenario,
+        GpuCrash,
+        HeartbeatConfig,
+        RpcFlakiness,
+    )
     from .obs import Obs, use
 
     cluster = _cluster(args)
@@ -258,7 +281,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     try:
         scenario = FaultScenario(
-            crashes=tuple(_parse_crash(s) for s in args.crash),
+            crashes=tuple(
+                GpuCrash(time=time, gpu_id=gpu)
+                for time, gpu in _parse_crashes(args.crash)
+            ),
             slowdowns=tuple(_parse_slowdown(s) for s in args.slowdown),
             flakiness=(
                 RpcFlakiness(drop_rate=args.drop_rate, seed=args.drop_seed)
@@ -279,8 +305,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     plane.submit(jobs)
     from contextlib import nullcontext
 
-    monitors_on = bool(getattr(args, "monitors", False))
-    heal_on = bool(getattr(args, "heal", False))
+    monitors_on = args.monitors
+    heal_on = args.heal
     engine = None
     obs = None
     if heal_on:
@@ -400,35 +426,9 @@ def _print_report(report, *, limit: int = 20) -> None:
 def cmd_heal(args: argparse.Namespace) -> int:
     """Run a streaming experiment twice — healing off, then on — and
     show what the remediation engine changed."""
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    crashes = None
-    if args.crash:
-        crashes = []
-        for spec in args.crash:
-            time, gpu = spec.split(":")
-            crashes.append((float(time), int(gpu)))
-    common = dict(
-        cluster=cluster,
-        workload=jobs,
-        scheduler=scheduler,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=False,
-        trace=False,
-        arrivals="streaming",
-        replan_interval=args.replan_interval,
-        crashes=crashes,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
-    )
-    base = api.run_experiment(**common)
-    healed = api.run_experiment(**common, heal=True)
+    healed_spec = _spec(args, simulate=False, trace=False, heal=True)
+    base = api.run_experiment(dataclasses.replace(healed_spec, heal=False))
+    healed = api.run_experiment(healed_spec)
     log = healed.remediation
     assert log is not None and base.kernel is not None
     assert healed.kernel is not None
@@ -450,8 +450,8 @@ def cmd_heal(args: argparse.Namespace) -> int:
             ["metric", "no heal -> heal"],
             rows,
             title=(
-                f"heal: {scheduler.name}, {len(jobs)} jobs on "
-                f"{cluster.num_gpus} GPUs, replan interval "
+                f"heal: {healed.scheduler}, {healed.instance.num_jobs} "
+                f"jobs on {healed.cluster.num_gpus} GPUs, replan interval "
                 f"{args.replan_interval}s"
             ),
         )
@@ -616,41 +616,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
             return 2
     else:
-        cluster = _cluster(args)
-        jobs = _workload(args)
-        try:
-            scheduler = create_scheduler(args.scheduler)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        crashes = None
-        if args.crash:
-            crashes = []
-            for spec in args.crash:
-                time, gpu = spec.split(":")
-                crashes.append((float(time), int(gpu)))
-        try:
-            r = api.run_experiment(
-                cluster=cluster,
-                workload=jobs,
-                scheduler=scheduler,
-                seed=args.seed,
-                load=args.load,
-                rounds_scale=args.rounds_scale,
+        r = api.run_experiment(
+            _spec(
+                args,
                 simulate=False,
                 trace=False,
-                arrivals=args.arrivals,
                 record=args.arrivals == "streaming",
-                crashes=crashes,
-                replan_interval=args.replan_interval,
-                kernel_backend=getattr(args, "kernel_backend", "auto"),
-                cells=getattr(args, "cells", 1),
-                cell_strategy=getattr(args, "cell_strategy", "balanced"),
-                admission=getattr(args, "admission", "throughput"),
             )
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        )
         report = r.attribution()
     problems = report.check()
     _print_attribution(report, top=args.top)
@@ -666,26 +639,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     """Run one scheduler with the flight recorder + monitors attached."""
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     r = api.run_experiment(
-        cluster=cluster,
-        workload=jobs,
-        scheduler=scheduler,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=True,
-        trace=False,
-        arrivals=getattr(args, "arrivals", "planned"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
-        record=True,
-        monitors=not args.no_monitors,
+        _spec(
+            args,
+            simulate=True,
+            trace=False,
+            record=True,
+            monitors=not args.no_monitors,
+        )
     )
     recorder = r.obs.recorder
     path = r.write_flight_log(args.out)
@@ -693,7 +654,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     print(
         f"recorded {recorder.seen} events "
         f"({recorder.dropped} dropped) from {r.scheduler} on "
-        f"{cluster.num_gpus} GPUs, {len(jobs)} jobs"
+        f"{r.cluster.num_gpus} GPUs, {r.instance.num_jobs} jobs"
     )
     print(
         f"compute spans: {compute['count']} "
@@ -794,20 +755,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         # Re-run the experiment the baseline records and compare fresh.
         from .obs.baseline import flatten_metrics
 
-        config = base_doc.get("config", {})
-        result = api.run_experiment(
-            gpus=int(config.get("gpus", 15)),
-            jobs=int(config.get("jobs", 20)),
-            scheduler=config.get("scheduler", "hare"),
-            seed=int(config.get("seed", 0)),
-            load=float(config.get("load", 1.5)),
-            rounds_scale=float(config.get("rounds_scale", 0.15)),
-            simulate=bool(config.get("simulate", True)),
-            switch_mode=SwitchMode(config.get("switch_mode", "hare")),
-            arrivals=config.get("arrivals", "planned"),
-            kernel_backend=config.get("kernel_backend", "auto"),
-            trace=False,
-        )
+        try:
+            spec = api.ExperimentSpec.from_dict(
+                base_doc.get("config", {}), trace=False
+            )
+        except (TypeError, ValueError) as exc:
+            print(f"cannot re-run the baseline's config: {exc}",
+                  file=sys.stderr)
+            return 2
+        result = api.run_experiment(spec)
         cand_flat = flatten_metrics(result.metrics_snapshot())
     else:
         print(
@@ -853,7 +809,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         simulate=not args.no_simulate,
         workers=args.workers,
         arrivals=args.arrivals,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
+        kernel_backend=args.kernel_backend,
     )
     rows = [
         [p.scheduler, p.seed, p.gpus, p.weighted_jct, p.makespan]
@@ -886,41 +842,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Export a Perfetto trace + run manifest for one run (or a compare)."""
-    cluster = _cluster(args)
-    jobs = _workload(args)
     if args.scheduler == "all":
-        result = api.compare(
-            cluster=cluster,
-            workload=jobs,
-            seed=args.seed,
-            load=args.load,
-            rounds_scale=args.rounds_scale,
-            simulate=True,
-            trace=True,
-        )
+        result = _compare(args, simulate=True, trace=True)
         label = ", ".join(result.names)
     else:
-        try:
-            scheduler = create_scheduler(args.scheduler)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        result = api.run_experiment(
-            cluster=cluster,
-            workload=jobs,
-            scheduler=scheduler,
-            seed=args.seed,
-            load=args.load,
-            rounds_scale=args.rounds_scale,
-            simulate=True,
-            trace=True,
-        )
+        result = api.run_experiment(_spec(args, simulate=True, trace=True))
         label = result.scheduler
     trace_path = result.write_trace(args.out)
     manifest_path = result.write_manifest(
         args.manifest, trace_path=str(trace_path)
     )
-    print(f"traced {label}: {len(jobs)} jobs on {cluster.num_gpus} GPUs")
+    print(
+        f"traced {label}: {result.config['jobs']} jobs on "
+        f"{result.config['gpus']} GPUs"
+    )
     print(f"trace:    {trace_path}  (open in ui.perfetto.dev)")
     print(f"manifest: {manifest_path}")
     return 0
@@ -985,10 +920,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--rounds-scale", type=float, default=0.15,
                        help="multiplier on per-job round counts")
-        p.add_argument("--simulate", action="store_true",
-                       help="replay the plan on the DES with switch costs")
+        p.add_argument("--trace", metavar="CSV",
+                       help="load the workload from a trace CSV instead of "
+                            "generating one")
+        p.add_argument("--save-trace", metavar="CSV",
+                       help="write the generated workload to a trace CSV")
+
+    def add_run_args(
+        p: argparse.ArgumentParser,
+        *,
+        simulate: bool = False,
+        arrivals: str = "planned",
+    ) -> None:
+        """How the run executes: only for verbs whose run honours them.
+
+        ``simulate`` adds ``--simulate`` (verbs that pin the DES replay
+        themselves go without); ``arrivals`` is the verb's default mode.
+        """
+        if simulate:
+            p.add_argument("--simulate", action="store_true",
+                           help="replay the plan on the DES with switch "
+                                "costs")
         p.add_argument("--arrivals", choices=("planned", "streaming"),
-                       default="planned",
+                       default=arrivals,
                        help="planned = offline clairvoyant planning; "
                             "streaming = feed arrivals as events through "
                             "the scheduling kernel")
@@ -1007,11 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--admission", choices=ADMISSION_POLICIES,
                        default="throughput",
                        help="global job-to-cell admission policy")
-        p.add_argument("--trace", metavar="CSV",
-                       help="load the workload from a trace CSV instead of "
-                            "generating one")
-        p.add_argument("--save-trace", metavar="CSV",
-                       help="write the generated workload to a trace CSV")
 
     def add_artifact_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace-out", metavar="JSON",
@@ -1022,11 +971,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="run all five schedulers")
     add_workload_args(p_compare)
+    add_run_args(p_compare, simulate=True)
     add_artifact_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_sched = sub.add_parser("schedule", help="run one scheduler")
     add_workload_args(p_sched)
+    add_run_args(p_sched, simulate=True)
     add_artifact_args(p_sched)
     p_sched.add_argument("--scheduler", default="hare",
                          help="hare | gavel_fifo | srtf | sched_homo | sched_allox")
@@ -1067,6 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on the DES and export a Perfetto trace + run manifest",
     )
     add_workload_args(p_trace)
+    add_run_args(p_trace)
     p_trace.add_argument("--scheduler", default="hare",
                          help="a registry key, or 'all' for the full "
                               "five-scheme comparison")
@@ -1115,6 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
              "remediation engine changed",
     )
     add_workload_args(p_heal)
+    add_run_args(p_heal, arrivals="streaming")
     p_heal.add_argument("--scheduler", default="hare_online",
                         help="registry key of a streaming-capable scheme "
                              "(default: hare_online)")
@@ -1137,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
              "two saved attributions",
     )
     add_workload_args(p_explain)
-    p_explain.set_defaults(arrivals="streaming")
+    add_run_args(p_explain, arrivals="streaming")
     p_explain.add_argument("--scheduler", default="hare_online",
                            help="registry key (default: hare_online)")
     p_explain.add_argument("--crash", action="append", default=[],
@@ -1166,6 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and dump the JSONL flight log",
     )
     add_workload_args(p_record)
+    add_run_args(p_record)
     p_record.add_argument("--scheduler", default="hare")
     p_record.add_argument("--out", default="flight.jsonl", metavar="JSONL",
                           help="flight-log output path")
@@ -1225,7 +1179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

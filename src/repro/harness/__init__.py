@@ -1,13 +1,10 @@
-"""Experiment harness: end-to-end runs, table rendering, result records."""
+"""Experiment harness: workload generation plus tables, plots and claims.
 
-from .experiments import (
-    ExperimentResult,
-    make_loaded_workload,
-    make_problem,
-    make_workload,
-    quick_compare,
-    run_comparison,
-)
+Runs go through :mod:`repro.api` (an :class:`~repro.api.ExperimentSpec`
+per run); this package builds their inputs and renders their results.
+"""
+
+from .experiments import make_loaded_workload, make_problem, make_workload
 from .gantt import GanttOptions, render_gantt, render_job_timeline
 from .report import PAPER_CLAIMS, Claim, Verdict, render_claims
 from .tables import normalize_to, render_series, render_table
@@ -15,18 +12,15 @@ from .tables import normalize_to, render_series, render_table
 __all__ = [
     "PAPER_CLAIMS",
     "Claim",
-    "ExperimentResult",
     "GanttOptions",
     "make_loaded_workload",
     "make_problem",
     "make_workload",
     "normalize_to",
-    "quick_compare",
     "render_series",
     "Verdict",
     "render_claims",
     "render_gantt",
     "render_job_timeline",
     "render_table",
-    "run_comparison",
 ]

@@ -1,45 +1,19 @@
-"""End-to-end experiment harness used by the benchmark suite.
+"""Workload and problem builders shared by the API, CLI and benchmarks.
 
-One experiment = (cluster, workload trace) × a set of schedulers. For each
-scheduler the harness builds the analytic plan (validated against
-constraints (4)-(8)), optionally replays it on the discrete-event simulator
-with switching dynamics, and collects the paper's metrics.
+A run's inputs are a cluster and a job list: :func:`make_loaded_workload`
+draws the loaded Google-like mix of the paper's experiments and
+:func:`make_problem` profiles it into a :class:`ProblemInstance`. Running
+schedulers on them is :mod:`repro.api`'s job (``compare`` /
+``run_experiment``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..cluster.cluster import Cluster, scaled_cluster, testbed_cluster
+from ..cluster.cluster import Cluster
 from ..core.job import Job, ProblemInstance
-from ..core.metrics import ScheduleMetrics, metrics_from_schedule
-from ..core.schedule import Schedule, validate_schedule
-from ..core.types import SwitchMode
-from ..obs import Category, current as obs_current
-from ..schedulers import Scheduler, default_schedulers
-from ..sim.simulator import SimResult, simulate_plan
 from ..workload.jobs import WorkloadConfig, generate_jobs
 from ..workload.profiler import TaskProfiler, build_instance
 from ..workload.trace import GoogleLikeTrace
-
-
-@dataclass(frozen=True, slots=True)
-class ExperimentResult:
-    """All outcomes of one scheduler on one workload."""
-
-    scheduler: str
-    plan: Schedule
-    plan_metrics: ScheduleMetrics
-    sim: SimResult | None = None
-
-    @property
-    def metrics(self) -> ScheduleMetrics:
-        """Simulated metrics when available, else the analytic plan's."""
-        return self.sim.metrics if self.sim is not None else self.plan_metrics
-
-    @property
-    def weighted_jct(self) -> float:
-        return self.metrics.total_weighted_completion
 
 
 def make_workload(
@@ -122,78 +96,3 @@ def make_problem(
 ) -> ProblemInstance:
     """Profile the workload on the cluster into a ProblemInstance."""
     return build_instance(jobs, cluster, profiler=profiler)
-
-
-def run_comparison(
-    cluster: Cluster,
-    jobs: list[Job],
-    *,
-    schedulers: list[Scheduler] | None = None,
-    simulate: bool = False,
-    switch_mode: SwitchMode = SwitchMode.HARE,
-    validate: bool = True,
-) -> dict[str, ExperimentResult]:
-    """Run every scheduler on one (cluster, workload) pair.
-
-    With ``simulate=True`` each plan is additionally replayed on the DES
-    with the given switching mode — this is the "testbed" configuration;
-    plans alone are the paper's idealized simulator numbers.
-    """
-    instance = make_problem(cluster, jobs)
-    schedulers = schedulers or default_schedulers()
-    results: dict[str, ExperimentResult] = {}
-    obs = obs_current()
-    for scheduler in schedulers:
-        with obs.tracer.timed(
-            Category.CTRL,
-            f"plan:{scheduler.name}",
-            track="harness",
-            hist=obs.metrics.histogram("harness.plan_s"),
-        ):
-            plan = scheduler.plan(instance)
-        if validate:
-            validate_schedule(plan)
-        with obs.tracer.timed(
-            Category.CTRL,
-            f"simulate:{scheduler.name}",
-            track="harness",
-            hist=obs.metrics.histogram("harness.simulate_s"),
-        ):
-            sim = (
-                simulate_plan(
-                    cluster, instance, plan, switch_mode=switch_mode
-                )
-                if simulate
-                else None
-            )
-        results[scheduler.name] = ExperimentResult(
-            scheduler=scheduler.name,
-            plan=plan,
-            plan_metrics=metrics_from_schedule(plan),
-            sim=sim,
-        )
-    return results
-
-
-def quick_compare(
-    num_jobs: int = 12,
-    num_gpus: int = 8,
-    *,
-    seed: int = 0,
-    rounds_scale: float = 0.2,
-    simulate: bool = False,
-) -> dict[str, ScheduleMetrics]:
-    """Small self-contained comparison (the README quick-start).
-
-    Returns ``{scheduler name: metrics}`` on a scaled testbed-mix cluster.
-    """
-    cluster = (
-        testbed_cluster() if num_gpus == 15 else scaled_cluster(num_gpus)
-    )
-    jobs = make_workload(
-        num_jobs,
-        seed=seed,
-        config=WorkloadConfig(rounds_scale=rounds_scale),
-    )
-    results = run_comparison(cluster, jobs, simulate=simulate)
-    return {name: r.metrics for name, r in results.items()}

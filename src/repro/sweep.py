@@ -24,12 +24,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core.types import SwitchMode
 from .kernel.residual import planner_scope
 from .obs import build_manifest, write_manifest as _write_manifest_file
 from .obs.baseline import BASELINE_SCHEMA, write_baseline
+
+if TYPE_CHECKING:  # repro.api imports this module
+    from .api import ExperimentSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,47 +133,34 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-def _run_cell(cell: Mapping) -> dict:
-    """One grid cell → plain-dict headline results (picklable)."""
-    from .api import ExperimentSpec, run_experiment
-    # local import: repro.api re-exports sweep()
+def _run_cell(spec: ExperimentSpec) -> dict:
+    """One grid cell's spec → plain-dict headline results (picklable)."""
+    from .api import run_experiment
 
-    spec = ExperimentSpec(
-        gpus=cell["gpus"],
-        jobs=cell["jobs"],
-        scheduler=cell["scheduler"],
-        seed=cell["seed"],
-        load=cell["load"],
-        rounds_scale=cell["rounds_scale"],
-        simulate=cell["simulate"],
-        switch_mode=SwitchMode(cell["switch_mode"]),
-        arrivals=cell["arrivals"],
-        kernel_backend=cell.get("kernel_backend", "auto"),
-        cells=cell.get("cells", 1),
-        trace=False,
-    )
     result = run_experiment(spec)
     return {
         "scheduler": result.scheduler,
-        "seed": cell["seed"],
+        "seed": spec.seed,
         "gpus": result.cluster.num_gpus,
-        "jobs": cell["jobs"],
+        "jobs": spec.jobs,
         "weighted_jct": result.weighted_jct,
         "weighted_flow": result.metrics.total_weighted_flow,
         "makespan": result.makespan,
         "simulated": result.sim is not None,
-        "cells": cell.get("cells", 1),
+        "cells": spec.cells,
     }
 
 
-def _run_shard(shard: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+def _run_shard(
+    shard: list[tuple[int, ExperimentSpec]],
+) -> list[tuple[int, dict]]:
     """Worker entry point: run a shard of grid cells in one process.
 
     Module-level (picklable) and wrapped in a planner scope so cells that
     share a workload reuse the kernel's residual/solve memos.
     """
     with planner_scope():
-        return [(index, _run_cell(cell)) for index, cell in shard]
+        return [(index, _run_cell(spec)) for index, spec in shard]
 
 
 def sweep(
@@ -211,20 +201,23 @@ def sweep(
         raise ValueError("sweep needs at least one scheduler and one scale")
     if not cells_list:
         raise ValueError("sweep needs at least one cells value")
-    grid: list[dict] = [
-        {
-            "seed": seed,
-            "gpus": gpus,
-            "scheduler": scheduler,
-            "jobs": jobs,
-            "load": load,
-            "rounds_scale": rounds_scale,
-            "simulate": simulate,
-            "switch_mode": switch_mode.value,
-            "arrivals": arrivals,
-            "kernel_backend": kernel_backend,
-            "cells": cell_count,
-        }
+    from .api import ExperimentSpec
+
+    grid = [
+        ExperimentSpec(
+            gpus=gpus,
+            jobs=jobs,
+            scheduler=scheduler,
+            seed=seed,
+            load=load,
+            rounds_scale=rounds_scale,
+            simulate=simulate,
+            switch_mode=switch_mode,
+            trace=False,
+            arrivals=arrivals,
+            kernel_backend=kernel_backend,
+            cells=cell_count,
+        )
         for seed in seed_list
         for gpus in scales
         for scheduler in schedulers

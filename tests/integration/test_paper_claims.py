@@ -8,14 +8,15 @@ roughly by how much, and in which direction each sweep moves.
 import numpy as np
 import pytest
 
+from repro.api import compare
 from repro.cluster import (
     heterogeneity_preset,
     scaled_cluster,
     testbed_cluster as _testbed_cluster,
 )
 from repro.core import SwitchMode
-from repro.harness import run_comparison
 from repro.harness.experiments import make_loaded_workload
+from repro.schedulers import HareScheduler
 from repro.workload import WorkloadConfig
 
 
@@ -27,7 +28,9 @@ def contended_results():
         100, reference_gpus=80, load=2.0, seed=2,
         config=WorkloadConfig(rounds_scale=0.3),
     )
-    return run_comparison(scaled_cluster(40), jobs)
+    return compare(
+        cluster=scaled_cluster(40), workload=jobs, trace=False
+    ).results
 
 
 class TestHareWins:
@@ -77,10 +80,12 @@ class TestGpuSweepShape:
         )
         flows = []
         for m in (16, 32, 64):
-            res = run_comparison(
-                scaled_cluster(m), jobs,
-                schedulers=[__import__("repro.schedulers", fromlist=["HareScheduler"]).HareScheduler()],
-            )
+            res = compare(
+                cluster=scaled_cluster(m),
+                workload=jobs,
+                schedulers=[HareScheduler()],
+                trace=False,
+            ).results
             flows.append(res["Hare"].plan_metrics.total_weighted_flow)
         assert flows[0] > flows[1] > flows[2]
 
@@ -95,7 +100,11 @@ class TestHeterogeneitySweepShape:
         )
         gaps = {}
         for level in ("low", "high"):
-            res = run_comparison(heterogeneity_preset(level, 16), jobs)
+            res = compare(
+                cluster=heterogeneity_preset(level, 16),
+                workload=jobs,
+                trace=False,
+            ).results
             flows = {
                 k: v.plan_metrics.total_weighted_flow for k, v in res.items()
             }
@@ -112,7 +121,12 @@ class TestSimulatorAgreement:
             20, reference_gpus=15, load=1.5, seed=11,
             config=WorkloadConfig(rounds_scale=0.1),
         )
-        res = run_comparison(_testbed_cluster(), jobs, simulate=True)
+        res = compare(
+            cluster=_testbed_cluster(),
+            workload=jobs,
+            simulate=True,
+            trace=False,
+        ).results
         for name, r in res.items():
             plan = r.plan_metrics.total_weighted_completion
             sim = r.sim.total_weighted_completion
@@ -124,15 +138,21 @@ class TestSimulatorAgreement:
             12, reference_gpus=15, load=1.5, seed=13,
             config=WorkloadConfig(rounds_scale=0.08),
         )
-        from repro.schedulers import HareScheduler
-
-        res_hare = run_comparison(
-            _testbed_cluster(), jobs, schedulers=[HareScheduler()],
-            simulate=True, switch_mode=SwitchMode.HARE,
+        res_hare = compare(
+            cluster=_testbed_cluster(),
+            workload=jobs,
+            schedulers=[HareScheduler()],
+            simulate=True,
+            switch_mode=SwitchMode.HARE,
+            trace=False,
         )["Hare"]
-        res_default = run_comparison(
-            _testbed_cluster(), jobs, schedulers=[HareScheduler()],
-            simulate=True, switch_mode=SwitchMode.DEFAULT,
+        res_default = compare(
+            cluster=_testbed_cluster(),
+            workload=jobs,
+            schedulers=[HareScheduler()],
+            simulate=True,
+            switch_mode=SwitchMode.DEFAULT,
+            trace=False,
         )["Hare"]
         slow = res_default.sim.total_weighted_completion
         fast = res_hare.sim.total_weighted_completion

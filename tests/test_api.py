@@ -404,5 +404,74 @@ class TestExperimentSpec:
         assert comparison.config["kernel_backend"] == "array"
         assert set(comparison.names) == {"Hare", "SRTF"}
 
+    def test_from_dict_inverts_to_dict_on_every_key(self):
+        import json
+
+        from repro.api import ExperimentSpec
+        from repro.core import SwitchMode
+
+        specs = [
+            ExperimentSpec(),
+            ExperimentSpec(
+                gpus=8, jobs=10, scheduler="hare_online", seed=1, load=2.0,
+                rounds_scale=0.05, simulate=False,
+                switch_mode=SwitchMode.DEFAULT, arrivals="streaming",
+                heal=True, replan_interval=0.5, crashes=((5.0, 2),),
+                kernel_backend="reference",
+            ),
+            ExperimentSpec(
+                arrivals="streaming", cells=2, cell_strategy="gpu_type",
+                admission="least_loaded", replan_interval=1.0,
+                crashes=((1.0, 0), (2.5, 3)), kernel_backend="array",
+            ),
+        ]
+        emitted = set()
+        for spec in specs:
+            config = spec.to_dict()
+            emitted |= set(config)
+            # JSON round trip: what a manifest or baseline stores
+            stored = json.loads(json.dumps(config))
+            rebuilt = ExperimentSpec.from_dict(stored)
+            assert rebuilt == spec
+            assert rebuilt.to_dict() == config
+        every_key = {
+            "gpus", "jobs", "scheduler", "seed", "load", "rounds_scale",
+            "simulate", "switch_mode", "arrivals", "heal",
+            "replan_interval", "crashes", "kernel_backend", "cells",
+            "cell_strategy", "admission",
+        }
+        assert emitted == every_key
+
+    def test_from_dict_sets_unrecorded_fields_and_rejects_unknown(self):
+        from repro.api import ExperimentSpec
+
+        spec = ExperimentSpec.from_dict(
+            ExperimentSpec(gpus=4).to_dict(), trace=False
+        )
+        assert spec.trace is False and spec.gpus == 4
+        with pytest.raises(TypeError, match="seeds"):
+            ExperimentSpec.from_dict({"seeds": [0, 1]})
+        with pytest.raises(ValueError, match="streaming"):
+            ExperimentSpec.from_dict({"heal": True})
+
+    def test_compare_runs_share_the_template_config(self):
+        from repro.api import ExperimentSpec
+
+        fields = dict(
+            arrivals="streaming", kernel_backend="array", simulate=True,
+            trace=False, **SMALL,
+        )
+        comparison = compare(schedulers=("hare", "srtf"), **fields)
+        expected = ExperimentSpec(**fields).to_dict()
+        del expected["scheduler"]
+        assert comparison.config == expected
+        for run in comparison:
+            assert run.config == expected
+        assert comparison.manifest()["config"] == expected
+
+    def test_compare_rejects_scheduler_keyword(self):
+        with pytest.raises(TypeError, match="schedulers"):
+            compare(scheduler="hare", **SMALL)
+
     def test_reexported_from_package_root(self):
         assert repro.ExperimentSpec is repro.api.ExperimentSpec

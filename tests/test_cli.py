@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import gc
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import read_manifest
 
 
 class TestParser:
@@ -163,6 +166,51 @@ class TestAnalysisCommands:
         report = json.loads(report_path.read_text())
         assert report["ok"] is False
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(gpus=8, jobs=10, crashes=((5.0, 2),), heal=True),
+            dict(gpus=12, jobs=6, cells=2),
+        ],
+        ids=["heal_crash", "cells2"],
+    )
+    def test_check_reruns_the_recorded_streaming_run(
+        self, tmp_path, capsys, config
+    ):
+        """The re-run is the baseline's own experiment: heal, crashes
+        and cells survive the config round trip."""
+        from repro.api import run_experiment
+
+        base = tmp_path / "base.json"
+        run_experiment(
+            scheduler="hare_online", arrivals="streaming", seed=1,
+            rounds_scale=0.05, trace=False, **config,
+        ).write_baseline(base)
+        # The re-run's wall-clock quantiles cover a few dozen solves; a
+        # collector pause in a long test session can push one past its
+        # band. This test pins what is re-run, so keep the collector out.
+        gc.disable()
+        try:
+            rc = main(["check", "--baseline", str(base)])
+        finally:
+            gc.enable()
+        text = capsys.readouterr().out
+        assert rc == 0, text
+        assert "diagnosis OK" in text
+
+    def test_check_sweep_baseline_without_candidate_exits_2(
+        self, tmp_path, capsys
+    ):
+        from repro.api import sweep
+
+        base = tmp_path / "sweep.json"
+        sweep(seeds=1, jobs=3, rounds_scale=0.05, workers=1).write_baseline(
+            base
+        )
+        rc = main(["check", "--baseline", str(base)])
+        assert rc == 2
+        assert "cannot re-run" in capsys.readouterr().err
+
     def test_check_bench_kind_needs_candidate(self, capsys):
         rc = main(
             ["check", "--baseline", "benchmarks/out/BENCH_kernel.json"]
@@ -321,3 +369,60 @@ class TestExplainCommand:
     def test_explain_unknown_scheduler_exits_2(self, capsys):
         rc = main(["explain", *self.WORKLOAD, "--scheduler", "mystery"])
         assert rc == 2
+
+
+class TestFlagsReachTheRun:
+    """Every run flag a verb accepts lands in the spec it runs."""
+
+    WORKLOAD = ["--jobs", "6", "--gpus", "12", "--seed", "1",
+                "--rounds-scale", "0.05"]
+
+    def test_trace_honours_arrivals(self, tmp_path, capsys):
+        manifest = tmp_path / "run.json"
+        rc = main(
+            ["trace", *self.WORKLOAD, "--scheduler", "hare_online",
+             "--arrivals", "streaming", "--out", str(tmp_path / "t.json"),
+             "--manifest", str(manifest)]
+        )
+        assert rc == 0
+        config = read_manifest(manifest)["config"]
+        assert config["arrivals"] == "streaming"
+
+    def test_record_honours_cells(self, tmp_path, capsys):
+        from repro.obs import load_flight_log
+
+        log = tmp_path / "flight.jsonl"
+        rc = main(
+            ["record", *self.WORKLOAD, "--scheduler", "hare_online",
+             "--arrivals", "streaming", "--cells", "2", "--out", str(log)]
+        )
+        assert rc == 0
+        names = {r.name for r in load_flight_log(log)}
+        assert "cells.admit" in names
+
+    def test_heal_cells_exits_2_with_the_spec_message(self, capsys):
+        rc = main(["heal", *self.WORKLOAD, "--cells", "2"])
+        assert rc == 2
+        assert "heal=True needs the flat kernel" in capsys.readouterr().err
+
+    def test_malformed_crash_exits_2(self, capsys):
+        rc = main(["explain", *self.WORKLOAD, "--crash", "5"])
+        assert rc == 2
+        assert "TIME:GPU" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--simulate"],
+            ["--arrivals", "streaming"],
+            ["--kernel-backend", "array"],
+            ["--cells", "2"],
+            ["--cell-strategy", "gpu_type"],
+            ["--admission", "round_robin"],
+        ],
+        ids=lambda f: f[0],
+    )
+    def test_chaos_rejects_run_flags_it_ignores(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", *self.WORKLOAD, *flag])
+        assert exc.value.code == 2

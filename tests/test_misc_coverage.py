@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import compare
 from repro.cluster import make_cluster
 from repro.cluster.node import GPUDevice, Node
 from repro.cluster.gpu import gpu_spec
 from repro.core import Job, ProblemInstance
 from repro.core.errors import ConfigurationError
 from repro.control import ControlPlane
-from repro.harness import quick_compare
 from repro.harness.experiments import make_loaded_workload
 from repro.schedulers import OnlineHareScheduler, TimeSliceScheduler
 from repro.workload import WorkloadConfig
@@ -43,10 +43,11 @@ class TestJobEstimates:
 
 class TestQuickCompareTestbedPath:
     def test_uses_testbed_for_15_gpus(self):
-        out = quick_compare(
-            num_jobs=4, num_gpus=15, seed=2, rounds_scale=0.04
+        out = compare(
+            gpus=15, jobs=4, seed=2, rounds_scale=0.04, trace=False
         )
-        assert "Hare" in out
+        assert "Hare" in out.names
+        assert out["Hare"].cluster.num_gpus == 15
 
 
 class TestControlPlaneWithExtensionSchedulers:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import compare
 from repro.core import Job
 from repro.core.errors import ConfigurationError
 from repro.harness import make_workload
@@ -77,7 +78,6 @@ class TestValidation:
 
 class TestIntegration:
     def test_loaded_trace_schedules(self, tmp_path, testbed):
-        from repro.harness import run_comparison
         from repro.workload import WorkloadConfig
 
         jobs = make_workload(
@@ -85,5 +85,7 @@ class TestIntegration:
         )
         path = tmp_path / "trace.csv"
         save_jobs_csv(jobs, path)
-        results = run_comparison(testbed, load_jobs_csv(path))
+        results = compare(
+            cluster=testbed, workload=load_jobs_csv(path), trace=False
+        )
         assert len(results) == 5
