@@ -759,9 +759,7 @@ def compare(
     config = template.to_dict()
     del config["scheduler"]
     results: dict[str, RunResult] = {}
-    for scheme in (
-        DEFAULT_SCHEMES if schedulers is None else schedulers
-    ):
+    for scheme in DEFAULT_SCHEMES if schedulers is None else schedulers:
         run = _run_one(
             replace(template, scheduler=scheme), cluster, instance, config
         )

@@ -426,6 +426,7 @@ def _print_report(report, *, limit: int = 20) -> None:
 def cmd_heal(args: argparse.Namespace) -> int:
     """Run a streaming experiment twice — healing off, then on — and
     show what the remediation engine changed."""
+    # Healed spec first: flags heal cannot honour fail before any run.
     healed_spec = _spec(args, simulate=False, trace=False, heal=True)
     base = api.run_experiment(dataclasses.replace(healed_spec, heal=False))
     healed = api.run_experiment(healed_spec)
